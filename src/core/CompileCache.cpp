@@ -12,16 +12,6 @@ using namespace ucc;
 
 namespace {
 
-/// FNV-1a over a byte buffer (same constants as regalloc/WindowCache).
-uint64_t fnv1a(const std::vector<uint8_t> &Bytes) {
-  uint64_t H = 0xcbf29ce484222325ULL;
-  for (uint8_t B : Bytes) {
-    H ^= B;
-    H *= 0x100000001b3ULL;
-  }
-  return H;
-}
-
 /// Appends fixed-width little-endian fields to a key buffer. The encoding
 /// is canonical: every field is length- or count-prefixed, so no two
 /// distinct inputs serialize to the same bytes.
@@ -146,7 +136,7 @@ uint64_t ucc::digestNameTables(const std::vector<std::string> &GlobalNames,
   KeyWriter W(Bytes);
   W.strs(GlobalNames);
   W.strs(FunctionNames);
-  return fnv1a(Bytes);
+  return fnv1a(Bytes.data(), Bytes.size());
 }
 
 uint64_t ucc::digestModuleNames(const Module &M) {
@@ -158,7 +148,7 @@ uint64_t ucc::digestModuleNames(const Module &M) {
   W.u32(static_cast<uint32_t>(M.Functions.size()));
   for (const Function &F : M.Functions)
     W.str(F.Name);
-  return fnv1a(Bytes);
+  return fnv1a(Bytes.data(), Bytes.size());
 }
 
 CompileCache::Key CompileCache::buildKey(const CompileKeyInputs &In) {
@@ -201,108 +191,4 @@ CompileCache::Key CompileCache::buildKey(const CompileKeyInputs &In) {
     W.u8(0);
   }
   return K;
-}
-
-CompiledFunction CompileCache::lookupOrCompute(
-    const Key &K, const std::function<CompiledFunction()> &Compute,
-    bool *WasHit) {
-  uint64_t H = fnv1a(K);
-  if (WasHit)
-    *WasHit = false;
-  std::unique_lock<std::mutex> Guard(Lock);
-  if (Capacity == 0) {
-    // Storage disabled: pure pass-through, still counted so cache-off
-    // baselines report comparable accounting.
-    ++Counts.Misses;
-    Guard.unlock();
-    return Compute();
-  }
-
-  std::list<Entry> &Chain = Buckets[H];
-  for (Entry &E : Chain) {
-    if (E.K != K)
-      continue;
-    ++Counts.Hits;
-    if (WasHit)
-      *WasHit = true;
-    if (!E.Ready) {
-      ++Counts.InflightWaits;
-      ++E.Waiters;
-      Filled.wait(Guard, [&] { return E.Ready; });
-      --E.Waiters;
-    }
-    E.LastUse = ++Tick;
-    return E.R;
-  }
-
-  // Miss: publish an in-flight entry, then compile outside the lock so
-  // other functions (and same-key waiters) make progress meanwhile.
-  ++Counts.Misses;
-  Chain.emplace_back();
-  Entry &E = Chain.back();
-  E.K = K;
-  E.LastUse = ++Tick;
-  ++Resident;
-  evictIfNeeded();
-  Guard.unlock();
-
-  CompiledFunction R = Compute();
-
-  Guard.lock();
-  E.R = R;
-  E.Ready = true;
-  Filled.notify_all();
-  return R;
-}
-
-void CompileCache::evictIfNeeded() {
-  while (Resident > Capacity) {
-    // Find the least-recently-used completed entry; in-flight entries and
-    // entries with waiters are pinned.
-    std::unordered_map<uint64_t, std::list<Entry>>::iterator VictimBucket =
-        Buckets.end();
-    std::list<Entry>::iterator Victim;
-    uint64_t Oldest = ~0ULL;
-    for (auto BI = Buckets.begin(); BI != Buckets.end(); ++BI) {
-      for (auto EI = BI->second.begin(); EI != BI->second.end(); ++EI) {
-        if (!EI->Ready || EI->Waiters > 0)
-          continue;
-        if (EI->LastUse < Oldest) {
-          Oldest = EI->LastUse;
-          VictimBucket = BI;
-          Victim = EI;
-        }
-      }
-    }
-    if (VictimBucket == Buckets.end())
-      return; // everything resident is in flight; let it overflow briefly
-    VictimBucket->second.erase(Victim);
-    if (VictimBucket->second.empty())
-      Buckets.erase(VictimBucket);
-    --Resident;
-    ++Counts.Evictions;
-  }
-}
-
-CompileCacheStats CompileCache::stats() const {
-  std::lock_guard<std::mutex> Guard(Lock);
-  CompileCacheStats S = Counts;
-  S.Entries = Resident;
-  return S;
-}
-
-void CompileCache::clear() {
-  std::lock_guard<std::mutex> Guard(Lock);
-  for (auto BI = Buckets.begin(); BI != Buckets.end();) {
-    std::list<Entry> &Chain = BI->second;
-    for (auto EI = Chain.begin(); EI != Chain.end();) {
-      if (EI->Ready && EI->Waiters == 0) {
-        EI = Chain.erase(EI);
-        --Resident;
-      } else {
-        ++EI;
-      }
-    }
-    BI = Chain.empty() ? Buckets.erase(BI) : std::next(BI);
-  }
 }

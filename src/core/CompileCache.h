@@ -22,11 +22,11 @@
 ///     final machine code for this function, its old frame offsets, and
 ///     the old name-table digest — or an explicit "absent" marker.
 ///
-/// The design generalizes regalloc/WindowCache: collision chains under a
-/// 64-bit hash confirmed by a full byte-compare of the canonical key, and
-/// an in-flight latch so that when two threads want the same function only
-/// one compiles while the other waits on a condition variable. Eviction is
-/// LRU with in-flight entries pinned (same policy as serve/PlanService).
+/// The storage is support/MemoCache, as for regalloc/WindowCache and
+/// serve/PlanService: collision chains under a 64-bit hash confirmed by a
+/// full byte-compare of the canonical key, an in-flight latch so that when
+/// two threads want the same function only one compiles while the other
+/// waits, and O(1) LRU eviction that never touches an in-flight entry.
 ///
 /// Because the key captures every input, a hit returns a result that is
 /// byte-identical to what a fresh compile would produce — the determinism
@@ -42,13 +42,11 @@
 #include "codegen/MachineIR.h"
 #include "ir/IR.h"
 #include "regalloc/UccAlloc.h"
+#include "support/Hash.h"
+#include "support/MemoCache.h"
 
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <list>
-#include <mutex>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace ucc {
@@ -112,49 +110,40 @@ public:
   /// \p Capacity bounds resident entries; 0 disables storage (every
   /// lookup misses — useful for cache-off baselines with identical code
   /// paths).
-  explicit CompileCache(size_t Capacity = 1024) : Capacity(Capacity) {}
+  explicit CompileCache(size_t Capacity = 1024) : Memo(Capacity) {}
 
-  /// Builds the canonical key for \p In (serialize + FNV-1a happens in
-  /// lookupOrCompute; the key carries the full bytes so hash collisions
-  /// can never alias two functions).
+  /// Builds the canonical key for \p In (the key carries the full bytes so
+  /// hash collisions can never alias two functions).
   static Key buildKey(const CompileKeyInputs &In);
 
   /// Returns the cached result for \p K, computing it with \p Compute on
   /// a miss. Concurrent callers with the same key are latched: one
   /// computes, the rest wait and share the result. \p WasHit (optional)
   /// reports whether this lookup was answered from the cache.
-  CompiledFunction
-  lookupOrCompute(const Key &K,
-                  const std::function<CompiledFunction()> &Compute,
-                  bool *WasHit = nullptr);
+  template <typename ComputeFn>
+  CompiledFunction lookupOrCompute(const Key &K, ComputeFn &&Compute,
+                                   bool *WasHit = nullptr) {
+    MemoOutcome O;
+    CompiledFunction R =
+        Memo.getOrCompute(fnv1a(K.data(), K.size()), K,
+                          std::forward<ComputeFn>(Compute), &O);
+    if (WasHit)
+      *WasHit = O.Hit;
+    return R;
+  }
 
   /// Exact accounting snapshot.
-  CompileCacheStats stats() const;
+  CompileCacheStats stats() const {
+    MemoStats S = Memo.stats();
+    return {S.Hits, S.Misses, S.Evictions, S.InflightWaits, S.Entries};
+  }
 
   /// Drops every completed entry (in-flight entries survive) and resets
   /// nothing else; accounting keeps accumulating.
-  void clear();
+  void clear() { Memo.clear(); }
 
 private:
-  struct Entry {
-    Key K;
-    CompiledFunction R;
-    bool Ready = false;
-    int Waiters = 0; ///< threads blocked on this entry (pins it)
-    uint64_t LastUse = 0;
-  };
-
-  void evictIfNeeded(); // caller holds Lock
-
-  mutable std::mutex Lock;
-  std::condition_variable Filled;
-  /// Hash -> collision chain. std::list gives stable entry addresses while
-  /// other chains grow (threads block on entries across unlocks).
-  std::unordered_map<uint64_t, std::list<Entry>> Buckets;
-  size_t Capacity;
-  size_t Resident = 0;
-  uint64_t Tick = 0;
-  CompileCacheStats Counts;
+  MemoCache<Key, CompiledFunction> Memo;
 };
 
 } // namespace ucc

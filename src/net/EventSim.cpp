@@ -21,6 +21,7 @@
 #include "net/EventSim.h"
 
 #include "support/Format.h"
+#include "support/Hash.h"
 #include "support/RNG.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
@@ -38,15 +39,8 @@ namespace {
 // Deterministic hashing (per-link qualities, per-node phases)
 //===----------------------------------------------------------------------===//
 
-uint64_t mix64(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ULL;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
-  return X ^ (X >> 31);
-}
-
 uint64_t hashCombine(uint64_t A, uint64_t B) {
-  return mix64(A ^ (B + 0x9e3779b97f4a7c15ULL + (A << 6) + (A >> 2)));
+  return splitmix64(A ^ (B + 0x9e3779b97f4a7c15ULL + (A << 6) + (A >> 2)));
 }
 
 /// Uniform double in [0, 1) from a hash value.

@@ -44,6 +44,8 @@ struct WindowInstr {
   int Def = -1;             ///< variable id written (-1 = none)
   int DefPref = -1;         ///< preferred register for the def
   uint16_t BusyMask = 0;    ///< registers unavailable around this statement
+
+  bool operator==(const WindowInstr &) const = default;
 };
 
 /// A straight-line allocation window (a changed chunk plus the unchanged
@@ -66,6 +68,8 @@ struct WindowSpec {
   double Eexe = 1.0;       ///< energy to execute one cycle
   double Cnt = 1000.0;     ///< executions before retirement
   double Theta = 0.75;     ///< the 3/4 linearization coefficient (eq. 15)
+
+  bool operator==(const WindowSpec &) const = default;
 };
 
 /// Decoded solution of a window.

@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 
 using namespace ucc;
 
@@ -364,6 +366,36 @@ TEST(VersionStore, SourceHashIsStable) {
   EXPECT_EQ(sourceHash(""), sourceHash(""));
   EXPECT_NE(sourceHash("a"), sourceHash("b"));
   EXPECT_EQ(sourceHash("abc").size(), 16u);
+}
+
+std::string readText(const std::string &Path) {
+  std::ifstream In(Path);
+  std::stringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+TEST_F(ScratchDir, EarlierStoreReopensWithIdenticalHistory) {
+  // tests/data/store-v1 was written by an earlier build with
+  // `uccc commit v0.mc --store store`, then v1.mc; history.txt is its
+  // `uccc history` listing. The manifest persists each source's FNV-1a,
+  // so the hash must still reproduce those bits from the sources.
+  std::filesystem::copy(std::string(UCC_TEST_DATA_DIR) + "/store-v1", Dir,
+                        std::filesystem::copy_options::recursive |
+                            std::filesystem::copy_options::overwrite_existing);
+  DiagnosticEngine Diag;
+  auto Store = VersionStore::open(Dir + "/store", Diag);
+  ASSERT_TRUE(Store.has_value()) << Diag.str();
+  ASSERT_EQ(Store->size(), 2u);
+  for (int Id = 0; Id < 2; ++Id)
+    EXPECT_EQ(Store->find(Id)->SourceHash,
+              sourceHash(readText(Dir + "/v" + std::to_string(Id) + ".mc")))
+        << "v" << Id;
+
+  std::string Cmd = std::string(UCC_TOOL_PATH) + " history --store " + Dir +
+                    "/store > " + Dir + "/history.out 2>&1";
+  ASSERT_EQ(std::system(Cmd.c_str()), 0);
+  EXPECT_EQ(readText(Dir + "/history.out"), readText(Dir + "/history.txt"));
 }
 
 } // namespace
